@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import multiprocessing as mp
-import queue as queue_mod
 import statistics
 import threading
 import time
@@ -191,6 +190,36 @@ class FleetRunReport:
 
 
 # -- worker side ---------------------------------------------------------------
+
+
+class _ResultChannel:
+    """Worker-to-supervisor messages over one pipe shared by the workers.
+
+    A worker sends synchronously under the writers' lock, so the lock is
+    free again before the worker dequeues its next cell: a worker that
+    dies between cells cannot leave the channel locked for the others.
+    (``multiprocessing.Queue`` sends from a feeder thread, which may still
+    hold the shared write lock when its worker dies an instant after the
+    supervisor has read the result and handed it the next cell.)
+    """
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+
+    def put(self, message) -> None:
+        with self._lock:
+            self._writer.send(message)
+
+    def get(self, timeout_s: float):
+        """The next message, or None if none arrives within *timeout_s*."""
+        if not self._reader.poll(timeout_s):
+            return None
+        return self._reader.recv()
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
 
 
 def _worker_main(
@@ -465,7 +494,7 @@ class FleetSupervisor:
             self._run_serial(specs, completed, journal, report)
             return
 
-        result_q = ctx.Queue()
+        result_q = _ResultChannel(ctx)
         spec_by_id = {spec.cell_id: spec for spec in specs}
         pending = deque(specs)
         cells: Dict[str, _CellState] = {}
@@ -585,21 +614,35 @@ class FleetSupervisor:
             )
             return len(spec_by_id) - done
 
+        def receive(timeout_s: float):
+            """The next worker message, or None (*timeout_s* 0: no wait)."""
+            try:
+                return result_q.get(timeout_s)
+            except Exception:
+                # A torn pipe from a dying worker; the cell itself is
+                # recovered by the liveness pass, so just count it.
+                report.dropped_messages += 1
+                return None
+
+        def work_waiting(now: float) -> bool:
+            """An idle worker could be handed a cell right now."""
+            if not (pending or (retry_heap and retry_heap[0][0] <= now)):
+                return False
+            return any(h.idle and h.alive for h in workers.values())
+
         try:
             while outstanding() > 0:
-                now = time.monotonic()
-
-                # 1. Drain completed work.
-                try:
-                    message = result_q.get(timeout=config.poll_interval_s)
-                except queue_mod.Empty:
-                    message = None
-                except Exception:
-                    # A torn pipe from a dying worker; the cell itself is
-                    # recovered by the liveness pass, so just count it.
-                    report.dropped_messages += 1
-                    message = None
-                if message is not None:
+                # 1. Drain completed work: every message already queued,
+                # before the supervision passes.  Wait for one only when
+                # no idle worker has work to be dispatched, so a freed
+                # worker is handed its next cell on this same turn.
+                wait_s = (
+                    0.0
+                    if work_waiting(time.monotonic())
+                    else config.poll_interval_s
+                )
+                message = receive(wait_s)
+                while message is not None:
                     kind, worker_id, cell_id, attempt, payload = message
                     handle = workers.get(worker_id)
                     if handle is not None and handle.cell_id == cell_id:
@@ -613,7 +656,7 @@ class FleetSupervisor:
                         report.cell_errors += 1
                         report.failure_details[cell_id] = payload
                         schedule_retry(cell_id)
-                    continue  # drain eagerly before supervision passes
+                    message = receive(0.0)
 
                 now = time.monotonic()
 
@@ -702,7 +745,6 @@ class FleetSupervisor:
             for handle in workers.values():
                 handle.shutdown()
             try:
-                result_q.cancel_join_thread()
                 result_q.close()
             except Exception:
                 pass

@@ -657,11 +657,12 @@ def snapshot_batched(
     n_drives: int = BATCHED_WORKLOAD_DRIVES,
     duration_s: float = BATCHED_WORKLOAD_DURATION_S,
 ) -> BenchmarkSnapshot:
-    """Race the batched multi-drive stepper against the serial engine.
+    """Race the batched multi-drive stepper against the scalar planner.
 
     Builds the same *n_drives* corridor drives twice (corridors cycled,
-    seeds offset from *seed*), runs one set serially through
-    ``SystemsOnAVehicle.drive`` and the other through
+    seeds offset from *seed*), runs one set serially through the scalar
+    planner (:func:`~repro.testing.scalar.scalar_drive`, the reference
+    the ``speedup`` baseline was measured against) and the other through
     :func:`~repro.runtime.batched.drive_batch`, and snapshots:
 
     * ``fingerprint_mismatches`` — drives whose
@@ -675,6 +676,7 @@ def snapshot_batched(
     from ..scene.corridors import corridor_names, make_corridor_sov
     from ..scene.providers import resolve_scene
     from ..testing.invariants import drive_fingerprint
+    from ..testing.scalar import scalar_drive
 
     names = sorted(corridor_names())
 
@@ -686,7 +688,7 @@ def snapshot_batched(
 
     serial_sovs = [build(i) for i in range(n_drives)]
     started = time.perf_counter()
-    serial_results = [sov.drive(duration_s) for sov in serial_sovs]
+    serial_results = [scalar_drive(sov, duration_s) for sov in serial_sovs]
     serial_wall_s = time.perf_counter() - started
 
     batched_sovs = [build(i) for i in range(n_drives)]

@@ -10,9 +10,15 @@ planner call is re-implemented — and the planner call itself is answered
 by the exact-arithmetic kernels of :mod:`repro.runtime.kernels` over
 geometry precomputed in :mod:`repro.scene.cache`.
 
+It is the one planning engine: ``sov.drive(duration)`` is
+``drive_batch([sov], [duration])``, whose rounds of one request take a
+single-request path with no grouping, gather or padding.
+
 **Equivalence contract.**  For every drive, the batched stepper produces
 a bit-identical :func:`~repro.testing.invariants.drive_fingerprint` to
-``sov.drive(duration)``.  Three properties make that possible:
+the same drive planned tick by tick by the scalar ``MpcPlanner.plan``
+(:func:`repro.testing.scalar_drive`).  Three properties make that
+possible:
 
 * Drives are mutually independent: each ``SystemsOnAVehicle`` owns its
   RNG, world, CAN bus, and supervisor, so interleaving steps *between*
@@ -33,7 +39,7 @@ the contract over the full scenario x seed x fault matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,66 +114,73 @@ def _prediction_block_count(
     return per_block
 
 
+def _admit(planner, request: PlanRequest):
+    """Route one request: a finished :class:`ControlCommand` when the fast
+    path must not (or need not) run it, else a fast-path :class:`_Entry`."""
+    fast = (
+        type(planner) is MpcPlanner
+        and type(planner.model) is BicycleModel
+        and planner.dt_s > 0
+        and planner.horizon_s > 0
+    )
+    if not fast:
+        return _scalar_plan(planner, request)
+    steps = int(round(planner.horizon_s / planner.dt_s))
+    if steps < 1 or (
+        request.predictions and planner.dt_s <= 1.5 * _TIME_TOLERANCE_S
+    ):
+        return _scalar_plan(planner, request)
+    current = planner.lane_map.locate(request.state.x_m, request.state.y_m)
+    if current is None:
+        # Off-map: the scalar planner's emergency stop, verbatim
+        # (note: deliberately *not* clamped, matching _emergency_plan).
+        return ControlCommand(
+            steer_rad=0.0,
+            accel_mps2=-planner.model.max_decel_mps2,
+            timestamp_s=request.now_s,
+            source="proactive",
+        )
+    times = [(k + 1) * planner.dt_s for k in range(steps)]
+    pred_count = _prediction_block_count(request.predictions, steps, times)
+    if pred_count is None:
+        return _scalar_plan(planner, request)
+    cache = cache_for(planner.lane_map)
+    return _Entry(
+        request=request,
+        planner=planner,
+        cache=cache,
+        candidate_sids=cache.candidates_of[current],
+        current_sid=current,
+        pred_count=pred_count,
+    )
+
+
 def plan_requests(
     items: Sequence[Tuple[SystemsOnAVehicle, PlanRequest]]
 ) -> List[ControlCommand]:
     """Answer a round of plan requests, vectorizing where provably exact.
 
     Returns the post-clamp command for each request — exactly what
-    ``planner.plan(...).command`` would have produced.
+    ``planner.plan(...).command`` would have produced.  A round of one
+    request (every serial drive) skips the grouping and the cross-entry
+    gather and padding entirely.
     """
+    if len(items) == 1:
+        sov, request = items[0]
+        admitted = _admit(sov.planner, request)
+        if isinstance(admitted, _Entry):
+            return [_solve_single(admitted)]
+        return [admitted]
     commands: List[Optional[ControlCommand]] = [None] * len(items)
     groups: Dict[Tuple, List[Tuple[int, _Entry]]] = {}
     for idx, (sov, request) in enumerate(items):
-        planner = sov.planner
-        fast = (
-            type(planner) is MpcPlanner
-            and type(planner.model) is BicycleModel
-            and planner.dt_s > 0
-            and planner.horizon_s > 0
-        )
-        if not fast:
-            commands[idx] = _scalar_plan(planner, request)
-            continue
-        steps = int(round(planner.horizon_s / planner.dt_s))
-        if steps < 1 or (
-            request.predictions
-            and planner.dt_s <= 1.5 * _TIME_TOLERANCE_S
-        ):
-            commands[idx] = _scalar_plan(planner, request)
-            continue
-        current = planner.lane_map.locate(
-            request.state.x_m, request.state.y_m
-        )
-        if current is None:
-            # Off-map: the scalar planner's emergency stop, verbatim
-            # (note: deliberately *not* clamped, matching _emergency_plan).
-            commands[idx] = ControlCommand(
-                steer_rad=0.0,
-                accel_mps2=-planner.model.max_decel_mps2,
-                timestamp_s=request.now_s,
-                source="proactive",
-            )
-            continue
-        times = [(k + 1) * planner.dt_s for k in range(steps)]
-        pred_count = _prediction_block_count(
-            request.predictions, steps, times
-        )
-        if pred_count is None:
-            commands[idx] = _scalar_plan(planner, request)
-            continue
-        cache = cache_for(planner.lane_map)
-        entry = _Entry(
-            request=request,
-            planner=planner,
-            cache=cache,
-            candidate_sids=cache.candidates_of[current],
-            current_sid=current,
-            pred_count=pred_count,
-        )
-        groups.setdefault(_planner_signature(planner), []).append(
-            (idx, entry)
-        )
+        admitted = _admit(sov.planner, request)
+        if isinstance(admitted, _Entry):
+            groups.setdefault(
+                _planner_signature(admitted.planner), []
+            ).append((idx, admitted))
+        else:
+            commands[idx] = admitted
     for group in groups.values():
         _solve_group([entry for _idx, entry in group])
         for idx, entry in group:
@@ -226,14 +239,132 @@ def _gather_lanes(
     )
 
 
+def _evaluate(
+    planner: MpcPlanner,
+    lanes: kernels.LaneBatch,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    h0: np.ndarray,
+    v0: np.ndarray,
+    accel: np.ndarray,
+    change_rows: np.ndarray,
+    obstacles: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    predictions: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Roll out, collision-check and score every candidate row.
+
+    Returns ``(costs, steer0)``, one entry per row of *lanes*.
+    """
+    model = planner.model
+    steps = int(round(planner.horizon_s / planner.dt_s))
+    times = [(k + 1) * planner.dt_s for k in range(steps)]
+    tx, ty, tspeed, steer0 = kernels.rollout_batch(
+        lanes,
+        x0,
+        y0,
+        h0,
+        v0,
+        accel,
+        steps=steps,
+        dt_s=planner.dt_s,
+        lookahead_m=planner.lookahead_m,
+        wheelbase_m=model.wheelbase_m,
+        max_speed_mps=model.max_speed_mps,
+        max_steer_rad=model.max_steer_rad,
+        max_accel_mps2=model.max_accel_mps2,
+        max_decel_mps2=model.max_decel_mps2,
+    )
+    collides, ttc = kernels.collision_batch(
+        tx, ty, times, *obstacles, *predictions
+    )
+    costs = kernels.cost_batch(
+        tx,
+        tspeed,
+        accel,
+        change_rows,
+        collides,
+        ttc,
+        target_speed_mps=planner.target_speed_mps,
+        progress_weight=planner.progress_weight,
+        comfort_weight=planner.comfort_weight,
+        speed_error_weight=planner.speed_error_weight,
+        lane_change_penalty=planner.lane_change_penalty,
+        collision_cost=planner.collision_cost,
+        max_decel_mps2=model.max_decel_mps2,
+    )
+    return costs, steer0
+
+
+def _command(entry: _Entry, steer: float, accel: float) -> ControlCommand:
+    command = ControlCommand(
+        steer_rad=steer,
+        accel_mps2=accel,
+        timestamp_s=entry.request.now_s,
+        source="proactive",
+    )
+    return entry.planner.model.clamp(command)
+
+
+def _rows(width: int, records: List[Tuple[float, float, float]], shape=None):
+    """``(x, y, radius)`` arrays of *records*, each laid out as *shape*
+    (default: flat) and repeated for every one of *width* candidate rows."""
+    shape = (len(records),) if shape is None else shape
+    columns = np.array(records, dtype=np.float64).reshape(-1, 3).T
+    out = np.empty((3, width) + shape)
+    out[:] = columns.reshape((3, 1) + shape)
+    return out[0], out[1], out[2]
+
+
+def _solve_single(entry: _Entry) -> ControlCommand:
+    """The planning pass for a round of one request.
+
+    One request is one group, so the candidate rows come straight from
+    the scene's memoized :meth:`SceneCache.candidate_lanes`, and the
+    obstacle and prediction arrays are built at their true sizes: no
+    signature, no concatenation, no ragged padding.
+    """
+    planner = entry.planner
+    cache = entry.cache
+    accels = planner.accel_candidates
+    n_accels = len(accels)
+    cands = entry.candidate_sids
+    steps = int(round(planner.horizon_s / planner.dt_s))
+    lanes = cache.candidate_lanes(entry.current_sid, n_accels)
+    width = lanes.width
+    change_rows = np.repeat(
+        np.array([s != entry.current_sid for s in cands]), n_accels
+    )
+    state = entry.request.state
+    obs = _rows(
+        width, [(o.x_m, o.y_m, o.radius_m) for o in entry.request.obstacles]
+    )
+    pred = _rows(
+        width,
+        [(s.x_m, s.y_m, s.radius_m) for s in entry.request.predictions],
+        (steps, entry.pred_count),
+    )
+    costs, steer0 = _evaluate(
+        planner,
+        lanes,
+        np.full(width, state.x_m),
+        np.full(width, state.y_m),
+        np.full(width, state.heading_rad),
+        np.full(width, state.speed_mps),
+        np.tile(np.array(accels), len(cands)),
+        change_rows,
+        obs,
+        pred,
+    )
+    best = int(np.argmin(costs))
+    return _command(entry, float(steer0[best]), accels[best % n_accels])
+
+
 def _solve_group(entries: List[_Entry]) -> None:
     """One vectorized planning pass over every candidate of every entry."""
     planner = entries[0].planner
-    model = planner.model
     accels = planner.accel_candidates
     n_accels = len(accels)
     steps = int(round(planner.horizon_s / planner.dt_s))
-    times = [(k + 1) * planner.dt_s for k in range(steps)]
 
     # -- candidate rows: lane-major, accel-minor, entries in order ---------
     accel_tile = np.array(accels)
@@ -260,30 +391,8 @@ def _solve_group(entries: List[_Entry]) -> None:
         for sid in cands:
             change_rows.extend([sid != entry.current_sid] * n_accels)
     lanes = _gather_lanes(per_entry_lanes)
-    accel = np.concatenate(accel_parts)
     counts = np.array(row_counts)
-    x0 = np.repeat(states[:, 0], counts)
-    y0 = np.repeat(states[:, 1], counts)
-    h0 = np.repeat(states[:, 2], counts)
-    v0 = np.repeat(states[:, 3], counts)
     total_rows = lanes.width
-
-    tx, ty, tspeed, steer0 = kernels.rollout_batch(
-        lanes,
-        x0,
-        y0,
-        h0,
-        v0,
-        accel,
-        steps=steps,
-        dt_s=planner.dt_s,
-        lookahead_m=planner.lookahead_m,
-        wheelbase_m=model.wheelbase_m,
-        max_speed_mps=model.max_speed_mps,
-        max_steer_rad=model.max_steer_rad,
-        max_accel_mps2=model.max_accel_mps2,
-        max_decel_mps2=model.max_decel_mps2,
-    )
 
     # -- obstacles / predictions, padded ragged across entries -------------
     max_obs = max(len(e.request.obstacles) for e in entries)
@@ -313,38 +422,26 @@ def _solve_group(entries: List[_Entry]) -> None:
             pred_r[rows, :, :p] = pr
         row0 += n_rows
 
-    collides, ttc = kernels.collision_batch(
-        tx, ty, times, obs_x, obs_y, obs_r, pred_x, pred_y, pred_r
-    )
-    costs = kernels.cost_batch(
-        tx,
-        tspeed,
-        accel,
+    costs, steer0 = _evaluate(
+        planner,
+        lanes,
+        np.repeat(states[:, 0], counts),
+        np.repeat(states[:, 1], counts),
+        np.repeat(states[:, 2], counts),
+        np.repeat(states[:, 3], counts),
+        np.concatenate(accel_parts),
         np.array(change_rows),
-        collides,
-        ttc,
-        target_speed_mps=planner.target_speed_mps,
-        progress_weight=planner.progress_weight,
-        comfort_weight=planner.comfort_weight,
-        speed_error_weight=planner.speed_error_weight,
-        lane_change_penalty=planner.lane_change_penalty,
-        collision_cost=planner.collision_cost,
-        max_decel_mps2=model.max_decel_mps2,
+        (obs_x, obs_y, obs_r),
+        (pred_x, pred_y, pred_r),
     )
 
     # -- per-entry selection: first minimum, rows in candidate order -------
     row0 = 0
     for entry, n_rows in zip(entries, row_counts):
         local = int(np.argmin(costs[row0 : row0 + n_rows]))
-        best_row = row0 + local
-        best_accel = accels[local % n_accels]
-        command = ControlCommand(
-            steer_rad=float(steer0[best_row]),
-            accel_mps2=best_accel,
-            timestamp_s=entry.request.now_s,
-            source="proactive",
+        entry.command = _command(
+            entry, float(steer0[row0 + local]), accels[local % n_accels]
         )
-        entry.command = entry.planner.model.clamp(command)
         row0 += n_rows
 
 

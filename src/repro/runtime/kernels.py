@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +48,44 @@ import numpy as np
 #: 1 ulp (~2.2e-16 relative); 1e-12 is ~4500x wider.
 _BAND_REL = 1e-12
 
+# Constants of the per-step kernels as 0-d arrays: numpy applies a 0-d
+# float64 operand with less per-call overhead than a Python float, and
+# the IEEE result is the same.
+_ZERO = np.array(0.0)
+_HALF = np.array(0.5)
+_ONE = np.array(1.0)
+_PI = np.array(math.pi)
+_TWO_PI = np.array(2.0 * math.pi)
+_MIN_LOOKAHEAD = np.array(1e-6)
+
 
 # -- exact element-wise transcendentals ----------------------------------------
+
+
+def _exact2(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two-argument *fn* (a ``math`` function) element-wise over
+    broadcast float64 *a*, *b*.  Same-shape 1-D arrays, the rollout's
+    case, go straight from ``tolist()`` into ``np.fromiter``."""
+    if (
+        type(a) is np.ndarray
+        and type(b) is np.ndarray
+        and a.ndim == 1
+        and a.shape == b.shape
+    ):
+        return np.fromiter(
+            map(fn, a.tolist(), b.tolist()),
+            dtype=np.float64,
+            count=a.shape[0],
+        )
+    a, b = np.broadcast_arrays(
+        np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    )
+    out = np.fromiter(
+        map(fn, a.ravel().tolist(), b.ravel().tolist()),
+        dtype=np.float64,
+        count=a.size,
+    )
+    return out.reshape(a.shape)
 
 
 def exact_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,40 +95,20 @@ def exact_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ~0.6% of cases, which would silently fork a batched trajectory from
     its scalar reference.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        a = np.broadcast_to(a, shape)
-        b = np.broadcast_to(b, shape)
-    shape = a.shape
-    out = np.fromiter(
-        map(math.hypot, a.ravel().tolist(), b.ravel().tolist()),
-        dtype=np.float64,
-        count=a.size,
-    )
-    return out.reshape(shape)
+    return _exact2(math.hypot, a, b)
 
 
 def exact_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``math.atan2`` element-wise (``np.arctan2`` is not bit-equal)."""
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if y.shape != x.shape:
-        shape = np.broadcast_shapes(y.shape, x.shape)
-        y = np.broadcast_to(y, shape)
-        x = np.broadcast_to(x, shape)
-    shape = y.shape
-    out = np.fromiter(
-        map(math.atan2, y.ravel().tolist(), x.ravel().tolist()),
-        dtype=np.float64,
-        count=y.size,
-    )
-    return out.reshape(shape)
+    return _exact2(math.atan2, y, x)
 
 
 def exact_tan(a: np.ndarray) -> np.ndarray:
     """``math.tan`` element-wise (``np.tan`` is not bit-equal)."""
+    if type(a) is np.ndarray and a.ndim == 1:
+        return np.fromiter(
+            map(math.tan, a.tolist()), dtype=np.float64, count=a.shape[0]
+        )
     a = np.asarray(a, dtype=np.float64)
     out = np.fromiter(
         map(math.tan, a.ravel().tolist()), dtype=np.float64, count=a.size
@@ -197,6 +214,51 @@ class LaneBatch:
     def width(self) -> int:
         return self.ax.shape[0]
 
+    # Per-batch invariants of the walks, derived once per rollout rather
+    # than once per step (``cached_property`` writes the instance dict,
+    # which a frozen dataclass allows).
+
+    @cached_property
+    def positive(self) -> np.ndarray:
+        """``length > 0`` per segment: the walks' real-segment test."""
+        return self.length > 0
+
+    @cached_property
+    def all_positive(self) -> bool:
+        """No zero-length segment (real or padding) in the batch."""
+        return bool(self.positive.all())
+
+    @cached_property
+    def length_or_one(self) -> np.ndarray:
+        """``length`` with zero lengths replaced by 1.0: a division-safe
+        denominator for rows the ``positive`` mask discards."""
+        return np.where(self.positive, self.length, 1.0)
+
+    @cached_property
+    def first(self) -> "_Column":
+        """Segment 0 of every row as contiguous ``[B]`` arrays (the whole
+        lane when ``S == 1``)."""
+        return _Column(
+            *(
+                np.ascontiguousarray(getattr(self, attr)[:, 0])
+                for attr in _Column._fields
+            )
+        )
+
+
+class _Column(NamedTuple):
+    """One segment column of a :class:`LaneBatch`, shape ``[B]`` each."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    length: np.ndarray
+    length_sq: np.ndarray
+    cum: np.ndarray
+    positive: np.ndarray
+    length_or_one: np.ndarray
+
 
 def stack_lanes(lanes: Sequence[LaneSoA]) -> LaneBatch:
     """Stack per-candidate :class:`LaneSoA` rows into one ``[B, S]`` batch."""
@@ -268,16 +330,22 @@ def lane_progress_batch(
     diverge from the reference.
     """
     n_seg = lanes.ax.shape[1]
-    # Single-segment lanes: the one real segment always wins the
-    # selection (any finite d beats inf), so no distance is needed.
+    if n_seg == 1:
+        # Single-segment lanes: the one real segment always wins the
+        # selection (any finite d beats inf), so no distance is needed.
+        seg = lanes.first
+        proj = (x - seg.ax) * seg.dx + (y - seg.ay) * seg.dy
+        t = np.maximum(_ZERO, np.minimum(_ONE, proj / seg.length_sq))
+        s = seg.cum + t * seg.length
+        if lanes.all_positive:
+            return s
+        return np.where(seg.positive, s, 0.0)
     proj = (x[:, None] - lanes.ax) * lanes.dx + (
         y[:, None] - lanes.ay
     ) * lanes.dy
     t = np.maximum(0.0, np.minimum(1.0, proj / lanes.length_sq))
     s_candidates = lanes.cum + t * lanes.length
-    mask = lanes.length > 0
-    if n_seg == 1:
-        return np.where(mask[:, 0], s_candidates[:, 0], 0.0)
+    mask = lanes.positive
     cx = lanes.ax + t * lanes.dx
     cy = lanes.ay + t * lanes.dy
     d = np.hypot(x[:, None] - cx, y[:, None] - cy)
@@ -310,18 +378,33 @@ def point_at_batch(lanes: LaneBatch, s: np.ndarray) -> Tuple[np.ndarray, np.ndar
     decreases by the segment length (a bitwise no-op for padding rows).
     """
     n_seg = lanes.ax.shape[1]
-    px = lanes.end_x.copy()
-    py = lanes.end_y.copy()
+    if n_seg == 1:
+        # One segment: a single hit test, else the clamp to an endpoint.
+        seg = lanes.first
+        t = s / seg.length_or_one
+        hit = (s <= seg.length) & seg.positive
+        inside = hit & (s > _ZERO)
+        px = seg.ax + t * seg.dx
+        py = seg.ay + t * seg.dy
+        if np.count_nonzero(inside) == inside.shape[0]:
+            return px, py
+        at_start = s <= 0
+        px = np.where(hit, px, lanes.end_x)
+        py = np.where(hit, py, lanes.end_y)
+        return (
+            np.where(at_start, lanes.start_x, px),
+            np.where(at_start, lanes.start_y, py),
+        )
     at_start = s <= 0
+    px = np.where(at_start, lanes.start_x, lanes.end_x)
+    py = np.where(at_start, lanes.start_y, lanes.end_y)
     done = at_start.copy()
-    px = np.where(at_start, lanes.start_x, px)
-    py = np.where(at_start, lanes.start_y, py)
     remaining = s.copy()
     for j in range(n_seg):
         seg_len = lanes.length[:, j]
-        hit = (~done) & (remaining <= seg_len) & (seg_len > 0)
-        if np.any(hit):
-            t = remaining / np.where(seg_len > 0, seg_len, 1.0)
+        hit = (~done) & (remaining <= seg_len) & lanes.positive[:, j]
+        if hit.any():
+            t = remaining / lanes.length_or_one[:, j]
             px = np.where(hit, lanes.ax[:, j] + t * lanes.dx[:, j], px)
             py = np.where(hit, lanes.ay[:, j] + t * lanes.dy[:, j], py)
             done |= hit
@@ -349,7 +432,7 @@ def pure_pursuit_steer_batch(
     dy = ty - y
     alpha = exact_atan2(dy, dx) - heading
     alpha = exact_atan2(np.sin(alpha), np.cos(alpha))
-    lookahead = np.maximum(exact_hypot(dx, dy), 1e-6)
+    lookahead = np.maximum(exact_hypot(dx, dy), _MIN_LOOKAHEAD)
     return exact_atan2((2.0 * wheelbase_m) * np.sin(alpha), lookahead)
 
 
@@ -375,18 +458,44 @@ def bicycle_step_batch(
     ``(avg / wb * tan(steer)) * dt``, position via ``(avg * cos(h)) * dt``,
     angle wrap through ``fmod``.
     """
-    steer_c = np.maximum(-max_steer_rad, np.minimum(max_steer_rad, steer))
-    new_speed = speed + accel_clamped * dt_s
-    new_speed = np.maximum(0.0, np.minimum(max_speed_mps, new_speed))
-    avg_speed = 0.5 * (speed + new_speed)
-    new_heading = heading + (
-        avg_speed / wheelbase_m * exact_tan(steer_c) * dt_s
+    return _bicycle_step(
+        x,
+        y,
+        heading,
+        speed,
+        steer,
+        accel_clamped * dt_s,
+        dt_s,
+        wheelbase_m,
+        max_speed_mps,
+        max_steer_rad,
     )
+
+
+def _bicycle_step(
+    x: np.ndarray,
+    y: np.ndarray,
+    heading: np.ndarray,
+    speed: np.ndarray,
+    steer: np.ndarray,
+    accel_dt: np.ndarray,
+    dt_s: float,
+    wheelbase_m: float,
+    max_speed_mps: float,
+    max_steer_rad: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bicycle_step_batch` with the speed increment ``accel * dt``
+    precomputed: a rollout's accel is constant, so it is hoisted out of
+    the step loop."""
+    steer_c = np.maximum(-max_steer_rad, np.minimum(max_steer_rad, steer))
+    new_speed = np.maximum(_ZERO, np.minimum(max_speed_mps, speed + accel_dt))
+    avg_speed = _HALF * (speed + new_speed)
+    new_heading = heading + avg_speed / wheelbase_m * exact_tan(steer_c) * dt_s
     new_x = x + avg_speed * np.cos(heading) * dt_s
     new_y = y + avg_speed * np.sin(heading) * dt_s
-    wrapped = np.fmod(new_heading + math.pi, 2.0 * math.pi)
-    wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * math.pi, wrapped)
-    return new_x, new_y, wrapped - math.pi, new_speed
+    wrapped = np.fmod(new_heading + _PI, _TWO_PI)
+    np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= _ZERO)
+    return new_x, new_y, wrapped - _PI, new_speed
 
 
 def rollout_batch(
@@ -412,38 +521,44 @@ def rollout_batch(
     (bit-equal to the scalar planner's command steer for the winning
     candidate's lane, since both are evaluated at the pre-rollout state).
     """
-    b = x0.shape[0]
-    tx = np.empty((b, steps))
-    ty = np.empty((b, steps))
-    tspeed = np.empty((b, steps))
     accel_c = np.maximum(
         -max_decel_mps2, np.minimum(max_accel_mps2, accel)
     )
+    accel_dt = accel_c * dt_s
+    # The step loop's parameters as 0-d arrays (see _ZERO).
+    dt_s, lookahead_m, wheelbase_m, max_speed_mps = map(
+        np.array, (dt_s, lookahead_m, wheelbase_m, max_speed_mps)
+    )
+    max_steer_rad = np.array(max_steer_rad)
     x, y, heading, speed = x0, y0, heading0, speed0
+    xs: List[np.ndarray] = []
+    ys: List[np.ndarray] = []
+    speeds: List[np.ndarray] = []
     steer0: Optional[np.ndarray] = None
-    for k in range(steps):
+    for _k in range(steps):
         steer = pure_pursuit_steer_batch(
             lanes, x, y, heading, wheelbase_m, lookahead_m=lookahead_m
         )
-        if k == 0:
+        if steer0 is None:
             steer0 = steer
-        x, y, heading, speed = bicycle_step_batch(
+        x, y, heading, speed = _bicycle_step(
             x,
             y,
             heading,
             speed,
             steer,
-            accel_c,
+            accel_dt,
             dt_s,
             wheelbase_m,
             max_speed_mps,
             max_steer_rad,
         )
-        tx[:, k] = x
-        ty[:, k] = y
-        tspeed[:, k] = speed
+        xs.append(x)
+        ys.append(y)
+        speeds.append(speed)
     assert steer0 is not None
-    return tx, ty, tspeed, steer0
+    # Built step-major and returned as ``[B, steps]`` transposed views.
+    return np.array(xs).T, np.array(ys).T, np.array(speeds).T, steer0
 
 
 # -- batched collision check ---------------------------------------------------

@@ -164,9 +164,9 @@ class PlanRequest:
     ``_proactive_pre`` runs everything *before* ``planner.plan`` (fault
     gating, shedding, perception, prediction) and returns one of these
     when a plan is actually needed; ``_proactive_post`` consumes the
-    planner's command and runs everything after.  The scalar loop calls
-    plan immediately in between; the batched stepper collects requests
-    across N drives and answers them with one vectorized planning round.
+    planner's command and runs everything after.  The batched stepper
+    collects the requests of its drives (one, for ``drive()``) and answers
+    them with one vectorized planning round.
     """
 
     now_s: float
@@ -392,18 +392,6 @@ class SystemsOnAVehicle:
                 command=command,
             )
         )
-
-    def _proactive_tick(self, now_s: float) -> None:
-        request = self._proactive_pre(now_s)
-        if request is None:
-            return
-        plan = self.planner.plan(
-            request.state,
-            predictions=request.predictions,
-            static_obstacles=request.obstacles,
-            now_s=now_s,
-        )
-        self._proactive_post(request, plan.command)
 
     def _proactive_pre(self, now_s: float) -> Optional[PlanRequest]:
         """Everything before the planner call; None when no plan is needed
@@ -674,32 +662,27 @@ class SystemsOnAVehicle:
     # -- the loop ---------------------------------------------------------------
 
     def drive(self, duration_s: float) -> DriveResult:
-        """Run the closed loop for *duration_s* of simulated time."""
-        loop = DriveLoop(self, duration_s)
-        while not loop.done:
-            request = loop.begin_step()
-            if request is not None:
-                plan = self.planner.plan(
-                    request.state,
-                    predictions=request.predictions,
-                    static_obstacles=request.obstacles,
-                    now_s=request.now_s,
-                )
-                self._proactive_post(request, plan.command)
-            loop.finish_step()
-        return loop.finalize()
+        """Run the closed loop for *duration_s* of simulated time.
+
+        A single drive is a batch of one: it plans through the same
+        vectorized engine (:func:`~repro.runtime.batched.drive_batch`) as
+        every batched and pooled drive, so there is one planning path.
+        """
+        from . import batched
+
+        return batched.drive_batch([self], [duration_s])[0]
 
 
 class DriveLoop:
     """One drive's simulation loop, steppable from the outside.
 
-    ``drive()`` runs it to completion inline; the batched stepper
-    (:mod:`repro.runtime.batched`) holds one ``DriveLoop`` per concurrent
-    drive and advances them in lockstep, answering each step's
-    :class:`PlanRequest` (if any) from a vectorized planning round.  The
-    step decomposition is exactly the body of the original monolithic
-    loop, so interleaving *between* drives cannot change any single
-    drive's arithmetic.
+    The batched stepper (:mod:`repro.runtime.batched`) holds one
+    ``DriveLoop`` per concurrent drive (``drive()`` is a batch of one)
+    and advances them in lockstep, answering each step's
+    :class:`PlanRequest` (if any) from a vectorized planning round; the
+    scalar reference (:func:`repro.testing.scalar_drive`) answers it with
+    ``planner.plan`` instead.  Drives share no state, so interleaving
+    steps *between* drives cannot change any single drive's arithmetic.
     """
 
     def __init__(self, sov: SystemsOnAVehicle, duration_s: float) -> None:

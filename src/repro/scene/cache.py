@@ -22,7 +22,7 @@ cycle through hundreds of procgen scenes don't accumulate geometry.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -84,6 +84,10 @@ class SceneCache:
     #: sid -> the planner's candidate list ``[sid] + adjacent`` in
     #: ``out_edges`` order.
     candidates_of: Dict[str, Tuple[str, ...]]
+    #: Memo of :meth:`candidate_lanes`, keyed ``(sid, n_accels)``.
+    _candidate_lanes: Dict[Tuple[str, int], LaneBatch] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def lanes_for(self, sids: List[str]) -> LaneBatch:
         """Assemble a per-candidate :class:`LaneBatch` by gathering rows."""
@@ -104,6 +108,20 @@ class SceneCache:
             end_y=self.end_y[idx],
             segments=tuple(self.segments[i] for i in idx),
         )
+
+    def candidate_lanes(self, sid: str, n_accels: int) -> LaneBatch:
+        """The candidate rows of a plan from lane *sid*: each candidate
+        lane repeated once per accel, lane-major (the planner's candidate
+        order).  Built once per scene and reused, with the per-batch
+        invariants it has derived."""
+        key = (sid, n_accels)
+        lanes = self._candidate_lanes.get(key)
+        if lanes is None:
+            lanes = self.lanes_for(
+                [c for c in self.candidates_of[sid] for _ in range(n_accels)]
+            )
+            self._candidate_lanes[key] = lanes
+        return lanes
 
 
 def _build(lane_map: LaneMap, fingerprint: SceneFingerprint) -> SceneCache:

@@ -1,13 +1,15 @@
-"""Differential equivalence harness: scalar engine vs batched stepper.
+"""Differential equivalence harness: scalar oracle vs batched stepper.
 
-The batched multi-drive stepper (:mod:`repro.runtime.batched`) claims to
-be an *execution strategy*, not a semantic change: every drive it
-advances must be bit-identical to the same drive run through
-``SystemsOnAVehicle.drive``.  This module is the machine that earns that
-claim.  It enumerates ``scenario x seed x fault`` cells over the
-corridor suite and the procedural generator, drives every cell through
-**both** engines (the batched side in genuinely shared lockstep batches,
-so cross-drive interleaving is exercised), and compares:
+The batched multi-drive stepper (:mod:`repro.runtime.batched`) plans
+every drive, ``SystemsOnAVehicle.drive`` included (a batch of one), and
+claims to be an *execution strategy*, not a semantic change: every drive
+it advances must be bit-identical to the same drive planned tick by tick
+by the scalar ``MpcPlanner.plan`` (:func:`~repro.testing.scalar.scalar_drive`).
+This module is the machine that earns that claim.  It enumerates
+``scenario x seed x fault`` cells over the corridor suite and the
+procedural generator, drives every cell through **both** (the batched
+side in genuinely shared lockstep batches, so cross-drive interleaving
+is exercised), and compares:
 
 * the full :func:`~repro.testing.invariants.drive_fingerprint` —
   trajectory endpoint, tick structure, fault history, latency totals —
@@ -31,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..scene.corridors import corridor_names, make_corridor_sov
 from ..scene.providers import resolve_scene
 from .invariants import drive_fingerprint
+from .scalar import scalar_drive
 
 #: Field names of the :func:`drive_fingerprint` tuple, index-aligned.
 FINGERPRINT_FIELDS: Tuple[str, ...] = (
@@ -248,7 +251,7 @@ def _run_cells(cells: Sequence[_Cell], batch_size: int) -> DifferentialReport:
     scalar_results = []
     for cell in cells:
         sov, duration_s = cell.build()
-        scalar_results.append(sov.drive(duration_s))
+        scalar_results.append(scalar_drive(sov, duration_s))
     for lo in range(0, len(cells), batch_size):
         chunk = cells[lo : lo + batch_size]
         built = [cell.build() for cell in chunk]
@@ -274,7 +277,8 @@ def run_differential_matrix(
 ) -> DifferentialReport:
     """Drive every cell through both engines and compare bit-for-bit.
 
-    The scalar side runs each cell serially; the batched side runs the
+    The scalar side runs each cell serially through the scalar planner
+    (:func:`~repro.testing.scalar.scalar_drive`); the batched side runs the
     cells in shared lockstep batches of *batch_size* (so drives of
     different scenes, durations, and fault schedules genuinely
     interleave inside one stepper — the configuration the fleet uses).

@@ -133,6 +133,48 @@ class TestPool:
         assert not report.degraded_to_serial
         assert identities(report) == serial_identities
 
+    def test_freed_worker_is_redispatched_without_waiting(self, tmp_path):
+        # A result frees its worker; the supervisor must hand it the next
+        # cell on the same turn rather than block on the result channel for
+        # a poll interval first.  With a long poll interval, four rounds
+        # of two cells would take >= 4 x 0.5 s if it waited each time.
+        tiny = list(
+            chaos_cells(ChaosConfig(n_drives=8, seed=11, duration_s=0.5))
+        )
+        journal_path = str(tmp_path / "journal.jsonl")
+        config = FleetConfig(n_workers=2, poll_interval_s=0.5)
+        report = FleetSupervisor(config).run(tiny, journal_path=journal_path)
+        assert report.ok, report.summary()
+        assert report.wall_s < 1.0, report.wall_s
+        assert report.retries == 0 and report.speculative_launches == 0
+        assert report.duplicate_cells == 0 and report.lost_cells == 0
+        assert identities(report) == [run_cell(s).identity() for s in tiny]
+        state = load_journal(journal_path)
+        assert sorted(state.results) == sorted(s.cell_id for s in tiny)
+        assert state.duplicates_dropped == 0
+
+    def test_workers_dying_between_cells_never_wedge_the_pool(self):
+        # More workers than cores, and every third cell kills the worker
+        # that dequeues it, straight after that worker's previous result
+        # was read.  A dying worker must not take the shared result
+        # channel with it: the survivors' results keep flowing, so the
+        # run ends long before any cell could time out.
+        tiny = list(
+            chaos_cells(ChaosConfig(n_drives=16, seed=12, duration_s=0.5))
+        )
+        plan = WorkerFaultPlan(
+            crash_cells=tuple(s.cell_id for s in tiny[2::3])
+        )
+        config = FleetConfig(
+            n_workers=4, cell_timeout_s=30.0, max_worker_restarts=16
+        )
+        report = FleetSupervisor(config).run(tiny, fault_plan=plan)
+        assert report.ok, report.summary()
+        assert report.wall_s < 15.0, report.wall_s
+        assert report.worker_timeouts == 0 and report.worker_hangs == 0
+        assert report.duplicate_cells == 0 and report.lost_cells == 0
+        assert identities(report) == [run_cell(s).identity() for s in tiny]
+
 
 class TestResume:
     def test_resume_after_torn_journal(

@@ -3,8 +3,9 @@
 The contract under test: :func:`repro.runtime.batched.plan_requests`
 returns exactly ``planner.plan(...).command`` for every request, and
 :func:`drive_batch` produces a :func:`drive_fingerprint` bit-identical
-to ``sov.drive`` for every vehicle in the batch — including batches
-mixing scenes, durations, and fault schedules.
+to the scalar-planner drive (``repro.testing.scalar_drive``) for every
+vehicle in the batch — including batches mixing scenes, durations, and
+fault schedules, and the batch of one that ``sov.drive`` runs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.scene.lanes import straight_corridor
 from repro.scene.providers import resolve_scene
 from repro.scene.world import Obstacle
 from repro.testing.invariants import drive_fingerprint
+from repro.testing.scalar import scalar_drive
 from repro.vehicle.dynamics import BicycleModel, VehicleState
 
 
@@ -177,13 +179,70 @@ def test_drive_batch_matches_serial_mixed_batch():
     serial = []
     for name, seed in coords:
         sov, duration = build(name, seed)
-        serial.append(drive_fingerprint(sov.drive(duration)))
+        serial.append(drive_fingerprint(scalar_drive(sov, duration)))
     built = [build(name, seed) for name, seed in coords]
     batched = drive_batch(
         [sov for sov, _d in built], [d for _sov, d in built]
     )
     for ref, result in zip(serial, batched):
         assert drive_fingerprint(result) == ref
+    # ``sov.drive`` is the batch of one: the same fingerprints again.
+    for (name, seed), ref in zip(coords, serial):
+        sov, duration = build(name, seed)
+        assert drive_fingerprint(sov.drive(duration)) == ref
+
+
+def _captured_requests(sov, duration_s):
+    """Every plan request of one scalar-planned drive of *sov*."""
+    from repro.runtime.sov import DriveLoop
+
+    loop = DriveLoop(sov, duration_s)
+    requests = []
+    while not loop.done:
+        request = loop.begin_step()
+        if request is not None:
+            requests.append(request)
+            command = sov.planner.plan(
+                request.state,
+                predictions=request.predictions,
+                static_obstacles=request.obstacles,
+                now_s=request.now_s,
+            ).command
+            sov._proactive_post(request, command)
+        loop.finish_step()
+    return requests
+
+
+@pytest.mark.parametrize(
+    "corridor",
+    [
+        None,  # the single-obstacle drill lane: one lane, one segment
+        "procgen:crossroads",
+        "procgen:narrowing_gap",
+        "procgen:straight",
+        "procgen:t_intersection",
+    ],
+)
+def test_single_request_rounds_match_scalar_plan(corridor):
+    """A round of one request (every ``sov.drive`` tick) answers exactly
+    ``planner.plan(...).command``, over every request of a whole drive."""
+    from repro.robustness.chaos import ChaosConfig, build_chaos_drive
+
+    config = ChaosConfig(
+        n_drives=1, seed=3, duration_s=2.0, safety_net=True, corridor=corridor
+    )
+    _scenario, sov, duration = build_chaos_drive(config, 0)
+    requests = _captured_requests(sov, duration)
+    assert requests
+    planner = sov.planner
+    for request in requests:
+        [command] = plan_requests([(sov, request)])
+        assert command == planner.plan(
+            request.state,
+            predictions=request.predictions,
+            static_obstacles=request.obstacles,
+            now_s=request.now_s,
+        ).command
 
 
 def test_drive_batch_validates_inputs():

@@ -10,6 +10,7 @@ tolerances anywhere.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -96,6 +97,130 @@ def test_point_at_matches_scalar(rng):
         for i, seg in enumerate(segments):
             ref = seg.point_at(s_query)
             assert (px[i], py[i]) == ref
+
+
+# -- fast paths: one-segment lanes and 1-D exact transcendentals ---------------
+#
+# These compare bit patterns, not ``==``, so a -0.0 / 0.0 or NaN slip in a
+# shortcut cannot hide.
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+def _one_segment_lanes():
+    """Single-segment lanes of every shape the walks distinguish: a plain
+    segment, one whose start has a signed zero, and a zero-length one."""
+    return [
+        LaneSegment("plain", ((1.5, -2.0), (41.5, 7.0)), width_m=2.5),
+        LaneSegment("neg_zero", ((-0.0, -0.0), (0.0, 12.0)), width_m=2.5),
+        LaneSegment("zero_len", ((3.0, 4.0), (3.0, 4.0)), width_m=2.5),
+    ]
+
+
+def _single_segment_batch(segments):
+    lanes = kernels.stack_lanes([kernels.lane_soa(seg) for seg in segments])
+    assert lanes.ax.shape[1] == 1
+    return lanes
+
+
+@pytest.mark.parametrize("with_zero_length", [False, True])
+def test_point_at_one_segment_bit_identical(with_zero_length):
+    segments = _one_segment_lanes()
+    if not with_zero_length:
+        segments = segments[:2]
+    lanes = _single_segment_batch(segments)
+    assert lanes.all_positive is not with_zero_length
+    for seg in segments:
+        seg_len = math.hypot(
+            seg.end[0] - seg.start[0], seg.end[1] - seg.start[1]
+        )
+        queries = (
+            -5.0, -0.0, 0.0, 5e-324, 0.25 * seg_len, seg_len,
+            np.nextafter(seg_len, np.inf), seg_len + 3.0, 1e300,
+        )
+        for s_query in queries:
+            # Every row asks the same query, so each row walks its own lane
+            # with it; the all-inside shortcut and the endpoint clamps both
+            # get exercised, alone and mixed within one batch.
+            s = np.full(len(segments), float(s_query))
+            px, py = kernels.point_at_batch(lanes, s)
+            for i, ref_seg in enumerate(segments):
+                ref = ref_seg.point_at(float(s_query))
+                assert (_bits(px[i]), _bits(py[i])) == (
+                    _bits(ref[0]), _bits(ref[1])
+                ), (ref_seg.segment_id, s_query)
+
+
+def test_point_at_one_segment_mixed_rows():
+    lane = _one_segment_lanes()[0]
+    lanes = _single_segment_batch([lane] * 5)
+    seg_len = float(lanes.length[0, 0])
+    s = np.array([-1.0, 0.0, 0.5 * seg_len, seg_len, seg_len + 1.0])
+    px, py = kernels.point_at_batch(lanes, s)
+    for i, s_query in enumerate(s):
+        ref = lane.point_at(float(s_query))
+        assert (_bits(px[i]), _bits(py[i])) == (_bits(ref[0]), _bits(ref[1]))
+
+
+@pytest.mark.parametrize("with_zero_length", [False, True])
+def test_lane_progress_one_segment_bit_identical(rng, with_zero_length):
+    planner = _planner()
+    segments = _one_segment_lanes()
+    if not with_zero_length:
+        segments = segments[:2]
+    lanes = _single_segment_batch(segments)
+    points = [(-0.0, -0.0), (0.0, 0.0), (1e300, -1e300)] + [
+        (float(a), float(b)) for a, b in rng.uniform(-20.0, 60.0, (8, 2))
+    ]
+    for px, py in points:
+        x = np.full(len(segments), px)
+        y = np.full(len(segments), py)
+        got = kernels.lane_progress_batch(lanes, x, y)
+        for i, seg in enumerate(segments):
+            assert _bits(got[i]) == _bits(planner._lane_progress(seg, px, py))
+
+
+def _edge_values(rng):
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi, -math.pi,
+                0.5 * math.pi, 1e15, -1e15, 1e300, -1e300, math.inf,
+                -math.inf]
+    return np.array(specials + list(rng.normal(0.0, 1e3, size=18)))
+
+
+def test_exact_fast_paths_bit_identical(rng):
+    a = _edge_values(rng)
+    b = rng.permutation(_edge_values(rng))
+    assert a.ndim == 1 and a.shape == b.shape  # the fast-path shape
+    hy = kernels.exact_hypot(a, b)
+    at = kernels.exact_atan2(a, b)
+    ta = kernels.exact_tan(a[np.isfinite(a)])
+    for i in range(a.size):
+        x, y = float(a[i]), float(b[i])
+        assert _bits(hy[i]) == _bits(math.hypot(x, y))
+        assert _bits(at[i]) == _bits(math.atan2(x, y))
+    for got, x in zip(ta, a[np.isfinite(a)]):
+        assert _bits(got) == _bits(math.tan(float(x)))
+
+
+def test_exact_fast_paths_agree_with_general_paths(rng):
+    a = _edge_values(rng)
+    b = rng.permutation(a)
+    column_a, column_b = a[:, None], b[:, None]  # 2-D: the general path
+    assert [_bits(v) for v in kernels.exact_atan2(a, b)] == [
+        _bits(v) for v in kernels.exact_atan2(column_a, column_b)[:, 0]
+    ]
+    assert [_bits(v) for v in kernels.exact_hypot(a, b)] == [
+        _bits(v) for v in kernels.exact_hypot(column_a, column_b)[:, 0]
+    ]
+    finite = a[np.isfinite(a)]
+    assert [_bits(v) for v in kernels.exact_tan(finite)] == [
+        _bits(v) for v in kernels.exact_tan(finite[:, None])[:, 0]
+    ]
+    empty = np.empty(0)
+    assert kernels.exact_atan2(empty, empty).shape == (0,)
+    assert kernels.exact_tan(empty).dtype == np.float64
 
 
 # -- pure pursuit / bicycle step -----------------------------------------------

@@ -2,7 +2,8 @@
 
 Random corridor and procgen scenes, seeds, and chaos fault draws; the
 property is always the same — the batched stepper's drive is
-field-for-field bit-identical to the scalar drive (fingerprint,
+field-for-field bit-identical to the scalar-planner drive
+(``repro.testing.scalar_drive``: fingerprint,
 mode residency, collision flags, Eq. 1 deadline accounting).  On
 failure hypothesis shrinks the coordinates and the assertion message
 carries the paste-able ``run_differential_cell`` repro line.
@@ -25,6 +26,7 @@ from repro.testing.differential import (
     compare_drives,
 )
 from repro.testing.invariants import drive_fingerprint
+from repro.testing.scalar import scalar_drive
 
 _SETTINGS = settings(
     max_examples=5,
@@ -36,7 +38,7 @@ _SETTINGS = settings(
 
 def _assert_equivalent(cell) -> None:
     sov_a, duration_a = cell.build()
-    scalar = sov_a.drive(duration_a)
+    scalar = scalar_drive(sov_a, duration_a)
     sov_b, duration_b = cell.build()
     [batched] = drive_batch([sov_b], [duration_b])
     mismatches = compare_drives(cell.cell_id, scalar, batched)
@@ -87,7 +89,7 @@ def test_heterogeneous_batches_equivalent(coords):
     serial = []
     for name, seed in coords:
         sov, duration = build(name, seed)
-        serial.append(drive_fingerprint(sov.drive(duration)))
+        serial.append(drive_fingerprint(scalar_drive(sov, duration)))
     built = [build(name, seed) for name, seed in coords]
     batched = drive_batch(
         [sov for sov, _d in built], [d for _sov, d in built]
